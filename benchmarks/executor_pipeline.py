@@ -16,20 +16,17 @@ Records are verified identical between the two stores, the parent-pipe
 events are verified payload-free and size-bounded, and the parent's
 peak RSS is recorded — the pipelined parent never holds a record.
 
-Writes ``benchmarks/results/executor_pipeline.txt``, a machine-readable
-``BENCH_pipeline.json`` at the repo root, and merges a ``pipeline``
-summary block into ``BENCH_executor.json`` when that file exists.
+Writes a ``BENCH_pipeline.json``-shaped payload to ``--out``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/executor_pipeline.py \\
-        [--cells 10000] [--jobs 4]
+        [--cells 10000] [--jobs 4] [--out CANDIDATE.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pickle
 import resource
@@ -38,6 +35,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.core.bench import write_payload
 from repro.core.executor import (
     EVENT_WIRE_BOUND,
     ProtocolSpec,
@@ -50,10 +48,6 @@ from repro.core.aggregate import store_aggregator
 from repro.http import single_object_page
 from repro.netem import emulated
 from repro.store import RunCache, ShardStore
-
-RESULTS = Path(__file__).parent / "results" / "executor_pipeline.txt"
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_pipeline.json"
-EXECUTOR_JSON = Path(__file__).parent.parent / "BENCH_executor.json"
 
 SCN = emulated(10.0)
 PAGE = single_object_page(10_000)
@@ -122,6 +116,8 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=4,
                         help="pool worker count (default 4; the pool is "
                              "forced even on a single-core host)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write the payload here (default: print only)")
     args = parser.parse_args()
 
     requests = build_requests(args.cells)
@@ -152,66 +148,23 @@ def main() -> int:
     print(f"speedup: {speedup:.2f}x, stores identical: {identical}, "
           f"parent RSS peak {rss_peak:,} kB")
 
-    lines = [
-        "Pipelined executor vs round-trip record path",
-        "============================================",
-        "",
-        f"sweep: {args.cells} independent cells (synthetic run fn), "
-        f"jobs={args.jobs}, sharded JSONL store",
-        f"host CPU count: {os.cpu_count()} (usable: {usable_cpu_count()})",
-        "",
-        f"  round-trip (records -> parent -> store) {roundtrip_s:8.2f} s",
-        f"  pipelined  (workers -> store)           {pipelined_s:8.2f} s",
-        "",
-        f"  speedup                   {speedup:8.2f} x",
-        f"  events through parent     {events:8d} "
-        f"({events_per_sec:,.0f}/s)",
-        f"  largest parent-pipe event {max_event_bytes:8d} B "
-        f"(bound {EVENT_WIRE_BOUND} B)",
-        f"  parent RSS before/peak    {rss_before:8,} / {rss_peak:,} kB",
-        f"  stores identical          {identical}",
-        "",
-        "In the round-trip design every RunRecord is pickled across the",
-        "parent pipe and written by the parent; pipelined workers append",
-        "their own records (one batched flock per chunk) and the parent",
-        "sees only payload-free RunEvents — so parent IPC and memory are",
-        "O(1) per cell regardless of record size.",
-    ]
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS.write_text("\n".join(lines) + "\n")
-    print(f"written to {RESULTS}")
-
-    payload = {
-        "benchmark": "pipeline",
-        "cells": args.cells,
-        "jobs": args.jobs,
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": usable_cpu_count(),
-        "roundtrip_seconds": round(roundtrip_s, 4),
-        "pipelined_seconds": round(pipelined_s, 4),
-        "pipelined_speedup": round(speedup, 4),
-        "events_total": events,
-        "events_per_sec": round(events_per_sec, 1),
-        "max_event_bytes": max_event_bytes,
-        "event_bound_bytes": EVENT_WIRE_BOUND,
-        "parent_rss_before_kb": rss_before,
-        "parent_rss_peak_kb": rss_peak,
-        "results_identical": identical,
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"written to {BENCH_JSON}")
-
-    if EXECUTOR_JSON.exists():
-        executor_payload = json.loads(EXECUTOR_JSON.read_text())
-        executor_payload["pipeline"] = {
-            key: payload[key]
-            for key in ("cells", "jobs", "pipelined_speedup",
-                        "events_per_sec", "max_event_bytes",
-                        "results_identical")
-        }
-        EXECUTOR_JSON.write_text(
-            json.dumps(executor_payload, indent=2) + "\n")
-        print(f"pipeline block merged into {EXECUTOR_JSON}")
+    if args.out:
+        write_payload({
+            "benchmark": "pipeline",
+            "cells": args.cells,
+            "jobs": args.jobs,
+            "roundtrip_seconds": round(roundtrip_s, 4),
+            "pipelined_seconds": round(pipelined_s, 4),
+            "pipelined_speedup": round(speedup, 4),
+            "events_total": events,
+            "events_per_sec": round(events_per_sec, 1),
+            "max_event_bytes": max_event_bytes,
+            "event_bound_bytes": EVENT_WIRE_BOUND,
+            "parent_rss_before_kb": rss_before,
+            "parent_rss_peak_kb": rss_peak,
+            "results_identical": identical,
+        }, str(args.out))
+        print(f"written to {args.out}")
 
     ok = identical and max_event_bytes <= EVENT_WIRE_BOUND
     return 0 if ok else 1

@@ -1,34 +1,31 @@
 """Measure serial vs parallel wall clock for the experiment executor.
 
 Runs the same ExperimentSpec grid with ``jobs=1`` and ``jobs=N``,
-verifies the results are byte-identical, and records the wall-clock
-comparison in ``benchmarks/results/executor_scaling.txt`` plus a
-machine-readable ``BENCH_executor.json`` at the repo root (so the perf
-trajectory is trackable across PRs).
+verifies the results are byte-identical, and writes the wall-clock
+comparison as a ``BENCH_executor.json``-shaped payload to ``--out``.
+On a host with one usable CPU the executor runs the ``jobs=N`` request
+in-process, so the speedup there is ~1.0x by design.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/executor_scaling.py [--jobs 4]
+    PYTHONPATH=src python benchmarks/executor_scaling.py [--jobs 4] \
+        [--out CANDIDATE.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import time
 from pathlib import Path
 
-from repro.core.executor import resolve_jobs, usable_cpu_count
+from repro.core.bench import write_payload
+from repro.core.executor import resolve_jobs
 from repro.core.experiment import (
     ExperimentSpec,
     ScenarioSpec,
     WorkloadSpec,
     run_experiment,
 )
-
-RESULTS = Path(__file__).parent / "results" / "executor_scaling.txt"
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_executor.json"
 
 
 def scaling_spec() -> ExperimentSpec:
@@ -52,6 +49,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=4,
                         help="parallel worker count (default 4)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write the payload here (default: print only)")
     args = parser.parse_args()
     jobs = resolve_jobs(args.jobs)
 
@@ -69,48 +68,17 @@ def main() -> int:
     speedup = serial_s / parallel_s if parallel_s else float("inf")
     print(f"speedup: {speedup:.2f}x, results identical: {identical}")
 
-    lines = [
-        "Executor scaling: serial vs parallel wall clock",
-        "===============================================",
-        "",
-        f"spec: {spec.name} ({len(spec.scenarios)} scenarios x "
-        f"{len(spec.workloads)} workloads x {len(spec.protocols)} protocols "
-        f"x {spec.runs} runs = {cells} independent simulations)",
-        f"host CPU count: {os.cpu_count()} (usable: {usable_cpu_count()})",
-        "",
-        f"  jobs=1 (serial)    {serial_s:8.2f} s",
-        f"  jobs={jobs:<2}            {parallel_s:8.2f} s",
-        "",
-        f"  speedup            {speedup:8.2f} x",
-        f"  results identical  {identical}",
-        "",
-        "Every run is a pure function of (configuration, seed), so the",
-        "parallel ExperimentResult.to_json() is byte-identical to serial.",
-    ]
-    if usable_cpu_count() < 2:
-        lines += [
-            "",
-            "note: this host exposes a single usable core; the executor's",
-            "auto-serial fallback therefore runs the jobs=N request",
-            "in-process instead of forking a pool that could only lose,",
-            "so the expected speedup here is ~1.0x.  On an N-core host",
-            "the independent simulations scale to ~min(N, jobs)x.",
-        ]
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS.write_text("\n".join(lines) + "\n")
-    print(f"written to {RESULTS}")
-    BENCH_JSON.write_text(json.dumps({
-        "benchmark": "executor_scaling",
-        "runs_total": cells,
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": usable_cpu_count(),
-        "jobs": jobs,
-        "serial_seconds": round(serial_s, 4),
-        "parallel_seconds": round(parallel_s, 4),
-        "speedup": round(speedup, 4),
-        "results_identical": identical,
-    }, indent=2) + "\n")
-    print(f"written to {BENCH_JSON}")
+    if args.out:
+        write_payload({
+            "benchmark": "executor_scaling",
+            "runs_total": cells,
+            "jobs": jobs,
+            "serial_seconds": round(serial_s, 4),
+            "parallel_seconds": round(parallel_s, 4),
+            "speedup": round(speedup, 4),
+            "results_identical": identical,
+        }, str(args.out))
+        print(f"written to {args.out}")
     return 0 if identical else 1
 
 

@@ -19,25 +19,29 @@ kind ``fabric``):
 * ``warm_hit_rate`` — re-running the whole sweep against the warm
   server executes nothing (100 % remote hits).
 
-Writes ``benchmarks/results/fabric_sweep.txt`` and a machine-readable
-``BENCH_fabric.json`` at the repo root.
+Writes a ``BENCH_fabric.json``-shaped payload to ``--out``.
+
+The run function is nearly free, so the fabric overhead ratio is an
+upper bound: real sweeps amortise the probe, spawn and upload costs
+over emulation time.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/fabric_sweep.py \\
-        [--cells 10000] [--workers 4] [--sync-every 256]
+        [--cells 10000] [--workers 4] [--sync-every 256] \\
+        [--out CANDIDATE.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import tempfile
 import time
 from pathlib import Path
 
+from repro.core.bench import write_payload
 from repro.core.executor import (
     ProtocolSpec,
     RunRecord,
@@ -51,9 +55,6 @@ from repro.fabric import RemoteStore, StoreServer, iter_fabric_runs, \
 from repro.http import single_object_page
 from repro.netem import emulated
 from repro.store import RunCache, ShardStore, fingerprint_for, run_key
-
-RESULTS = Path(__file__).parent / "results" / "fabric_sweep.txt"
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_fabric.json"
 
 SCN = emulated(10.0)
 PAGE = single_object_page(10_000)
@@ -108,6 +109,8 @@ def main() -> int:
     parser.add_argument("--sync-every", type=int, default=256,
                         help="worker upload batch, in completed runs "
                              "(default 256)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write the payload here (default: print only)")
     args = parser.parse_args()
 
     requests = build_requests(args.cells)
@@ -152,54 +155,22 @@ def main() -> int:
           f"{cells_per_sec:,.0f} cells/s, resume_missing={resume_missing}, "
           f"results identical: {identical}")
 
-    lines = [
-        "Distributed sweep fabric vs single-process sweep",
-        "================================================",
-        "",
-        f"sweep: {args.cells} independent cells (synthetic run fn), "
-        f"1 store server + {args.workers} workers on localhost, "
-        f"sync_every={args.sync_every}",
-        f"host CPU count: {os.cpu_count()} (usable: {usable_cpu_count()})",
-        "",
-        f"  single-process sweep      {single_s:8.2f} s",
-        f"  fabric sweep (cold)       {fabric_s:8.2f} s "
-        f"({cells_per_sec:,.0f} cells/s)",
-        f"  fabric sweep (warm)       {warm_s:8.2f} s "
-        f"({100 * warm_hit_rate:.0f}% remote hits)",
-        "",
-        f"  fabric overhead           {overhead:8.2f} x",
-        f"  resume /missing probe     {resume_missing:8d} keys",
-        f"  reports byte-identical    {identical}",
-        "",
-        "The fabric pays one batched /missing probe, per-worker process",
-        "spawn and HTTP upload round-trips on top of the run cost; with a",
-        "nearly-free run fn that overhead dominates, so the ratio above",
-        "is its upper bound.  Real sweeps amortise it over emulation",
-        "time, and the contracts — identical reports, an empty resume",
-        "probe, a 100% warm pass — are what the gate holds.",
-    ]
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS.write_text("\n".join(lines) + "\n")
-    print(f"written to {RESULTS}")
-
-    payload = {
-        "benchmark": "fabric",
-        "cells": args.cells,
-        "workers": args.workers,
-        "sync_every": args.sync_every,
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": usable_cpu_count(),
-        "single_seconds": round(single_s, 4),
-        "fabric_seconds": round(fabric_s, 4),
-        "fabric_overhead": round(overhead, 4),
-        "cells_per_sec": round(cells_per_sec, 1),
-        "warm_seconds": round(warm_s, 4),
-        "warm_hit_rate": round(warm_hit_rate, 6),
-        "resume_missing": resume_missing,
-        "results_identical": identical,
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"written to {BENCH_JSON}")
+    if args.out:
+        write_payload({
+            "benchmark": "fabric",
+            "cells": args.cells,
+            "workers": args.workers,
+            "sync_every": args.sync_every,
+            "single_seconds": round(single_s, 4),
+            "fabric_seconds": round(fabric_s, 4),
+            "fabric_overhead": round(overhead, 4),
+            "cells_per_sec": round(cells_per_sec, 1),
+            "warm_seconds": round(warm_s, 4),
+            "warm_hit_rate": round(warm_hit_rate, 6),
+            "resume_missing": resume_missing,
+            "results_identical": identical,
+        }, str(args.out))
+        print(f"written to {args.out}")
 
     ok = identical and resume_missing == 0 and warm_hit_rate == 1.0
     return 0 if ok else 1

@@ -17,14 +17,13 @@ and TCP parameterisations, two loss rates) — twice, and records:
 Usage::
 
     PYTHONPATH=src python benchmarks/model_fit.py [--quick] \
-        [--out BENCH_models.json]
+        [--out CANDIDATE.json]
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import platform
 from pathlib import Path
 
 from repro.core.bench import calibrate, write_payload
@@ -35,8 +34,6 @@ from repro.core.models import (
     oracle_requests,
     render_model_fit_table,
 )
-
-DEFAULT_OUT = Path(__file__).parent.parent / "BENCH_models.json"
 
 
 def run_grid(ccs, loss_rates, seeds, flows):
@@ -56,8 +53,8 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true",
                         help="reno-only, one loss cell — fast but not "
                              "the gated grid; for local iteration only")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
-                        help=f"output path (default {DEFAULT_OUT})")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write the payload here (default: print only)")
     args = parser.parse_args()
 
     ccs = ("reno",) if args.quick else ("reno", "cubic", "bbr")
@@ -76,7 +73,6 @@ def main() -> int:
 
     payload = {
         "benchmark": "models",
-        "python": platform.python_version(),
         "calibration_ops_per_sec": round(calibrate(), 1),
         "workload": {
             "ccs": list(ccs),
@@ -116,6 +112,9 @@ def main() -> int:
     print(f"max |ln(obs/model)|: "
           f"{payload['max_abs_log_error'] or float('nan'):>10.4f}")
     print(f"results identical:   {identical!s:>10}")
+    if args.out:
+        write_payload(payload, str(args.out))
+        print(f"written to {args.out}")
     ok = True
     if failed:
         print(f"ERROR: {len(failed)} oracle run(s) failed")
@@ -126,11 +125,7 @@ def main() -> int:
     if len(within) != len(gated):
         print("ERROR: gated cell(s) diverged from the analytical model")
         ok = False
-    if not ok:
-        return 1
-    write_payload(payload, str(args.out))
-    print(f"written to {args.out}")
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

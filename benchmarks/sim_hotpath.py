@@ -8,13 +8,13 @@ Measures the three numbers the hot-path optimisation work is judged by:
 
 The committed ``BENCH_sim.json`` carries a ``baseline`` section (the
 same numbers measured on the pre-optimisation tree) and the computed
-speedups.  ``scripts/bench_diff.py`` gates CI on regressions of the
-``current`` section.
+speedups.  ``scripts/bench_diff.py`` runs this script and gates the
+``current`` section of its ``--out`` payload against the committed one.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/sim_hotpath.py [--quick] \
-        [--baseline BENCH_sim.json] [--out BENCH_sim.json]
+        [--baseline BENCH_sim.json] [--out CANDIDATE.json]
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import json
 from pathlib import Path
 
 from repro.core.bench import run_benchmarks, write_payload
-
-DEFAULT_OUT = Path(__file__).parent.parent / "BENCH_sim.json"
 
 
 def main() -> int:
@@ -42,8 +40,8 @@ def main() -> int:
     parser.add_argument("--baseline", type=Path, default=None,
                         help="previous BENCH_sim.json to compute speedups "
                              "against (its 'current' section)")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
-                        help=f"output path (default {DEFAULT_OUT})")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write the payload here (default: print only)")
     args = parser.parse_args()
 
     if args.quick:
@@ -64,8 +62,9 @@ def main() -> int:
           f"(quic={current['plt_quic']:.4f}s tcp={current['plt_tcp']:.4f}s)")
     for metric, factor in payload.get("speedup", {}).items():
         print(f"speedup {metric}: {factor:.2f}x")
-    write_payload(payload, str(args.out))
-    print(f"written to {args.out}")
+    if args.out:
+        write_payload(payload, str(args.out))
+        print(f"written to {args.out}")
     return 0
 
 

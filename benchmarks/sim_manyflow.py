@@ -15,7 +15,7 @@ bottleneck) twice — batched link delivery vs per-packet scheduling
 Usage::
 
     PYTHONPATH=src python benchmarks/sim_manyflow.py [--quick] \
-        [--baseline BENCH_manyflow.json] [--out BENCH_manyflow.json]
+        [--baseline BENCH_manyflow.json] [--out CANDIDATE.json]
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import json
 from pathlib import Path
 
 from repro.core.bench import run_manyflow_benchmark, write_payload
-
-DEFAULT_OUT = Path(__file__).parent.parent / "BENCH_manyflow.json"
 
 
 def main() -> int:
@@ -46,8 +44,8 @@ def main() -> int:
     parser.add_argument("--baseline", type=Path, default=None,
                         help="previous BENCH_manyflow.json to compute a "
                              "rate speedup against")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
-                        help=f"output path (default {DEFAULT_OUT})")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write the payload here (default: print only)")
     args = parser.parse_args()
 
     if args.quick:
@@ -67,11 +65,12 @@ def main() -> int:
     print(f"speedup:              {payload['speedup_vs_per_packet']:>10.2f} x")
     print(f"events/sec (batched): {payload['events_per_sec']:>10,.0f}")
     print(f"results identical:    {payload['results_identical']!s:>10}")
+    if args.out:
+        write_payload(payload, str(args.out))
+        print(f"written to {args.out}")
     if not payload["results_identical"]:
         print("ERROR: batched and per-packet outcomes diverged")
         return 1
-    write_payload(payload, str(args.out))
-    print(f"written to {args.out}")
     return 0
 
 

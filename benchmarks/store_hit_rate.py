@@ -8,19 +8,17 @@ cache-correctness contract along the way (warm pass: 100% hits and
 byte-identical ``ExperimentResult.to_json()``), so the exit code doubles
 as the ``make check`` store smoke.
 
-Writes ``benchmarks/results/store_hit_rate.txt`` and a machine-readable
-``BENCH_store.json`` at the repo root.
+Writes a ``BENCH_store.json``-shaped payload to ``--out``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/store_hit_rate.py [--runs 2] [--jobs 1]
+    PYTHONPATH=src python benchmarks/store_hit_rate.py [--runs 2] [--jobs 1] \
+        [--out CANDIDATE.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import tempfile
 import time
 from pathlib import Path
@@ -32,11 +30,9 @@ from repro.core.experiment import (
     experiment_requests,
     run_experiment,
 )
+from repro.core.bench import write_payload
 from repro.core.executor import run_requests
 from repro.store import ResultStore, RunCache
-
-RESULTS = Path(__file__).parent / "results" / "store_hit_rate.txt"
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_store.json"
 
 
 def bench_spec(runs: int) -> ExperimentSpec:
@@ -55,6 +51,8 @@ def main() -> int:
                         help="seeded rounds per cell (default 2)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write the payload here (default: print only)")
     args = parser.parse_args()
 
     spec = bench_spec(args.runs)
@@ -107,45 +105,21 @@ def main() -> int:
           f"byte-identical: {identical and resumed_identical}, "
           f"warm pass all hits: {all_hits}")
 
-    lines = [
-        "Results store: cold vs warm vs resumed wall clock",
-        "=================================================",
-        "",
-        f"spec: {spec.name} ({total} runs per pass, jobs={args.jobs})",
-        f"host CPU count: {os.cpu_count()}",
-        "",
-        f"  cold    (empty store)   {cold_s:8.2f} s   "
-        f"{cold_stats[0]:3d} hits / {cold_stats[1]:3d} misses",
-        f"  warm    (full store)    {warm_s:8.2f} s   "
-        f"{warm_stats[0]:3d} hits / {warm_stats[1]:3d} misses",
-        f"  resumed (half store)    {resumed_s:8.2f} s   "
-        f"{resumed_stats[0]:3d} hits / {resumed_stats[1]:3d} misses",
-        "",
-        f"  warm speedup            {speedup:8.1f} x",
-        f"  results byte-identical  {identical and resumed_identical}",
-        "",
-        "A run key covers configuration, seed and the source fingerprint,",
-        "so a warm sweep re-executes nothing and an interrupted sweep",
-        "resumes from exactly the cells it was missing.",
-    ]
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS.write_text("\n".join(lines) + "\n")
-    print(f"written to {RESULTS}")
-    BENCH_JSON.write_text(json.dumps({
-        "benchmark": "store_hit_rate",
-        "runs_total": total,
-        "cpu_count": os.cpu_count(),
-        "jobs": args.jobs,
-        "cold_seconds": round(cold_s, 4),
-        "warm_seconds": round(warm_s, 4),
-        "resumed_seconds": round(resumed_s, 4),
-        "warm_speedup": round(speedup, 2),
-        "warm_hit_rate": (warm_stats[0] / total) if total else 0.0,
-        "resumed_hits": resumed_stats[0],
-        "resumed_misses": resumed_stats[1],
-        "results_identical": identical and resumed_identical,
-    }, indent=2) + "\n")
-    print(f"written to {BENCH_JSON}")
+    if args.out:
+        write_payload({
+            "benchmark": "store_hit_rate",
+            "runs_total": total,
+            "jobs": args.jobs,
+            "cold_seconds": round(cold_s, 4),
+            "warm_seconds": round(warm_s, 4),
+            "resumed_seconds": round(resumed_s, 4),
+            "warm_speedup": round(speedup, 2),
+            "warm_hit_rate": (warm_stats[0] / total) if total else 0.0,
+            "resumed_hits": resumed_stats[0],
+            "resumed_misses": resumed_stats[1],
+            "results_identical": identical and resumed_identical,
+        }, str(args.out))
+        print(f"written to {args.out}")
     if not ok:
         print("STORE SMOKE FAILED: warm pass was not 100% cache hits with "
               "byte-identical results")

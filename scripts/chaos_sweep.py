@@ -18,13 +18,12 @@ all scheduled from one seed.  Three contracts are verified and gated
   separately injected row corruptions, and the same seed builds the
   identical fault schedule twice (the replayability contract).
 
-Writes ``benchmarks/results/chaos_sweep.txt`` and a machine-readable
-``BENCH_chaos.json`` at the repo root.
+Writes a ``BENCH_chaos.json``-shaped payload to ``--out``.
 
 Usage::
 
     PYTHONPATH=src python scripts/chaos_sweep.py \\
-        [--cells 600] [--workers 3] [--seed 42]
+        [--cells 600] [--workers 3] [--seed 42] [--out CANDIDATE.json]
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import time
 import warnings
 from pathlib import Path
 
+from repro.core.bench import write_payload
 from repro.core.executor import (
     ProtocolSpec,
     RunRecord,
@@ -51,10 +51,6 @@ from repro.faults import FaultPlan, FaultSpec, FaultyStore
 from repro.http import single_object_page
 from repro.netem import emulated
 from repro.store import ShardStore, fsck
-
-RESULTS = Path(__file__).parent.parent / "benchmarks" / "results" / \
-    "chaos_sweep.txt"
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_chaos.json"
 
 SCN = emulated(10.0)
 PAGE = single_object_page(10_000)
@@ -161,6 +157,8 @@ def main() -> int:
     parser.add_argument("--corruptions", type=int, default=8,
                         help="rows corrupted for the fsck detection check "
                              "(default 8)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write the payload here (default: print only)")
     args = parser.parse_args()
 
     requests = build_requests(args.cells)
@@ -225,60 +223,27 @@ def main() -> int:
           f"{fsck_clean}, plan deterministic: {plan_deterministic}, "
           f"faults fired: {faults_fired}/{len(plan.specs)}")
 
-    lines = [
-        "Seeded chaos sweep: fault injection vs the fault-free baseline",
-        "==============================================================",
-        "",
-        f"sweep: {args.cells} cells, {args.workers} workers, "
-        f"sync_every={args.sync_every}, fault seed {args.seed}",
-        f"host CPU count: {os.cpu_count()} (usable: {usable_cpu_count()})",
-        "",
-        f"  fault-free sweep          {baseline_s:8.2f} s",
-        f"  chaos sweep               {chaos_s:8.2f} s "
-        f"({faults_fired}/{len(plan.specs)} scheduled faults fired)",
-        "",
-        f"  reports byte-identical    {results_identical}",
-        f"  rows quarantined          {repair.quarantined:8d}",
-        f"  residual fsck issues      {verify.issues:8d}",
-        f"  corruption detect rate    {100 * fsck_detect_rate:7.0f}%"
-        f"  ({detected}/{injected})",
-        f"  plan deterministic        {plan_deterministic}",
-        "",
-        "Faults fired (schedule order):",
-    ] + [f"  {f['sequence']:2d}. {f['surface']}/{f['kind']} on "
-         f"{f['op'] or 'any'} (after {f['after']})" for f in fired] + [
-        "",
-        "Torn writes 500 the request and leave debris; the idempotent",
-        "retry re-uploads, fsck --repair quarantines the debris, and the",
-        "store converges to the byte-identical fault-free state.",
-    ]
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS.write_text("\n".join(lines) + "\n")
-    print(f"written to {RESULTS}")
-
-    payload = {
-        "benchmark": "chaos",
-        "cells": args.cells,
-        "workers": args.workers,
-        "sync_every": args.sync_every,
-        "seed": args.seed,
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": usable_cpu_count(),
-        "baseline_seconds": round(baseline_s, 4),
-        "chaos_seconds": round(chaos_s, 4),
-        "faults_scheduled": len(plan.specs),
-        "faults_fired": faults_fired,
-        "quarantined": repair.quarantined,
-        "residual_issues": verify.issues,
-        "corruptions_injected": injected,
-        "corruptions_detected": detected,
-        "fsck_detect_rate": round(fsck_detect_rate, 6),
-        "results_identical": results_identical,
-        "fsck_clean": fsck_clean,
-        "plan_deterministic": plan_deterministic,
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"written to {BENCH_JSON}")
+    if args.out:
+        write_payload({
+            "benchmark": "chaos",
+            "cells": args.cells,
+            "workers": args.workers,
+            "sync_every": args.sync_every,
+            "seed": args.seed,
+            "baseline_seconds": round(baseline_s, 4),
+            "chaos_seconds": round(chaos_s, 4),
+            "faults_scheduled": len(plan.specs),
+            "faults_fired": faults_fired,
+            "quarantined": repair.quarantined,
+            "residual_issues": verify.issues,
+            "corruptions_injected": injected,
+            "corruptions_detected": detected,
+            "fsck_detect_rate": round(fsck_detect_rate, 6),
+            "results_identical": results_identical,
+            "fsck_clean": fsck_clean,
+            "plan_deterministic": plan_deterministic,
+        }, str(args.out))
+        print(f"written to {args.out}")
     return 0 if ok else 1
 
 

@@ -35,6 +35,7 @@ gives the perf gate a free behaviour cross-check.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 import time
@@ -220,7 +221,6 @@ def run_benchmarks(*, events: int = 200_000, packets: int = 30_000,
     }
     payload: Dict[str, Any] = {
         "benchmark": "sim_hotpath",
-        "python": platform.python_version(),
         "calibration_ops_per_sec": round(cal, 1),
         "workload": {
             "events": events,
@@ -310,7 +310,6 @@ def run_manyflow_benchmark(*, flows: int = 1000, repeat: int = 1,
                       "speedup_vs_per_packet")
     payload: Dict[str, Any] = {
         "benchmark": "manyflow",
-        "python": platform.python_version(),
         "calibration_ops_per_sec": round(cal, 1),
         "workload": {
             "flows": flows,
@@ -405,6 +404,11 @@ def profile_manyflow(top: int = 25, out: Any = None,
 
 
 def write_payload(payload: Dict[str, Any], path: str) -> None:
+    """Write a bench payload as JSON, stamped with the host it ran on."""
+    from .executor import usable_cpu_count  # executor sits above this module
+
+    host = {"cpu_count": os.cpu_count(), "usable_cpus": usable_cpu_count(),
+            "python": platform.python_version()}
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump({**payload, **host}, handle, indent=2)
         handle.write("\n")

@@ -36,12 +36,12 @@ double-counted.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import shutil
 import tempfile
 import time
 import traceback
 from dataclasses import replace
+from multiprocessing.connection import wait as wait_readable
 from pathlib import Path
 from typing import (
     Any,
@@ -122,8 +122,8 @@ def _worker_main(worker_id: int, assignment: Sequence[_Assigned], url: str,
         since_sync = 0
         for event in iter_runs(requests, jobs=1, wall_timeout=wall_timeout,
                                retries=retries, run_fn=run_fn, store=local):
-            events.put(("event", worker_id,
-                        replace(event, index=indices[event.index])))
+            events.send(("event", worker_id,
+                         replace(event, index=indices[event.index])))
             if event.terminal:
                 since_sync += 1
                 if since_sync >= sync_every:
@@ -140,9 +140,9 @@ def _worker_main(worker_id: int, assignment: Sequence[_Assigned], url: str,
                 if attempt == _FLUSH_ATTEMPTS - 1:
                     raise
                 time.sleep(0.5 * (2 ** attempt))
-        events.put(("done", worker_id, len(assignment)))
+        events.send(("done", worker_id, len(assignment)))
     except BaseException:  # noqa: BLE001 - report, then die
-        events.put(("failed", worker_id, traceback.format_exc()))
+        events.send(("failed", worker_id, traceback.format_exc()))
     finally:
         if local is not None:
             local.close()
@@ -249,7 +249,12 @@ def iter_fabric_runs(
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else None)
-    events: Any = ctx.Queue()
+    # One pipe per worker process, never a queue shared between them: a
+    # shared queue serialises writers through one cross-process lock, and
+    # a worker SIGKILLed while holding it would wedge every other worker.
+    # Each pipe has a single writer, and events are far below PIPE_BUF,
+    # so a kill can only cut a worker's stream short, never corrupt it.
+    inbox: Dict[Any, int] = {}
     if max_restarts is None:
         max_restarts = 2 * workers
 
@@ -257,13 +262,16 @@ def iter_fabric_runs(
         remaining = [(index, request)
                      for index, request in assignments[worker_id]
                      if index not in terminal_seen]
+        reader, writer = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_worker_main,
             args=(worker_id, remaining, url,
                   str(base / f"worker-{worker_id}"), sync_every, retries,
-                  wall_timeout, run_fn, events),
+                  wall_timeout, run_fn, writer),
             name=f"repro-fabric-worker-{worker_id}", daemon=True)
         process.start()
+        writer.close()  # the worker holds the only write end
+        inbox[reader] = worker_id
         last_progress[worker_id] = time.monotonic()
         if on_worker_start is not None:
             on_worker_start(worker_id, process.pid)
@@ -276,11 +284,14 @@ def iter_fabric_runs(
     alive = {worker_id: _spawn(worker_id) for worker_id in range(workers)}
     try:
         while alive:
-            try:
-                message = events.get(timeout=0.1)
-            except queue_mod.Empty:
-                message = None
-            if message is not None:
+            readable = wait_readable(list(inbox), timeout=0.1)
+            for reader in readable:
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):  # worker gone, pipe drained
+                    del inbox[reader]
+                    reader.close()
+                    continue
                 kind, worker_id = message[0], message[1]
                 last_progress[worker_id] = time.monotonic()
                 if kind == "event":
@@ -301,6 +312,7 @@ def iter_fabric_runs(
                 elif kind == "failed":
                     raise FabricWorkerError(
                         f"fabric worker {worker_id} failed:\n{message[2]}")
+            if readable:
                 continue  # drain queued events before liveness checks
             for worker_id, process in list(alive.items()):
                 if process.is_alive():
@@ -336,16 +348,16 @@ def iter_fabric_runs(
             process.terminate()
         for process in alive.values():
             process.join(timeout=5.0)
-        events.close()
+        for reader in inbox:
+            reader.close()
 
     leftover = [(index, request) for worker_assignment in assignments
                 for index, request in worker_assignment
                 if index not in terminal_seen]
     if leftover:
-        # A worker exited cleanly but its last queued events were lost
-        # (possible if it was killed mid-queue-flush).  The rows may
-        # still have been uploaded — serve those as hits; anything truly
-        # absent is a real loss.
+        # A worker exited but some of its events were never read.  The
+        # rows may still have been uploaded — serve those as hits;
+        # anything truly absent is a real loss.
         rows = {key: record for key, _, _, record in remote.fetch(
             [key_of[index] for index, _ in leftover])}
         for index, request in leftover:

@@ -653,6 +653,24 @@ class TestCoordinatorDegradation:
         assert [f["kind"] for f in fired] == ["kill"]
         assert fabric == expected
 
+    def test_kills_mid_report_never_wedge_the_other_workers(self, tmp_path):
+        # A SIGKILL can land while a worker is handing an event to the
+        # coordinator.  Each worker reports on its own pipe, so that must
+        # never stall its siblings; many kills make the moment likely.
+        plan = FaultPlan([FaultSpec("worker", "kill", op=str(worker),
+                                    after=after)
+                          for worker in range(4) for after in (3, 11, 19)])
+        requests = self._grid(400)
+        with StoreServer(ShardStore(tmp_path / "central"), port=0) as server:
+            events = list(iter_fabric_runs(
+                requests, server.url, workers=4, sync_every=8,
+                run_fn=_instant_run, workdir=str(tmp_path / "wd"),
+                fault_plan=plan, max_restarts=len(plan.specs),
+                progress_timeout=2.0))
+        assert {e.index for e in events if e.terminal} == set(
+            range(len(requests)))
+        assert len(plan.fired()) == len(plan.specs)
+
 
 # ----------------------------------------------------------------------
 # CLI: fsck exit codes + friendly serve errors
